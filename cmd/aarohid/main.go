@@ -53,6 +53,7 @@ import (
 )
 
 func main() {
+	began := time.Now()
 	o, err := parseOptions(os.Args[1:], os.Stderr)
 	if errors.Is(err, flag.ErrHelp) {
 		os.Exit(0)
@@ -86,6 +87,7 @@ func main() {
 			st.Recovery.SnapshotIndex, st.Recovery.ReplayedRecords,
 			st.Recovery.RecoveredOutputs, st.Recovery.DurationSeconds)
 	}
+	log.Printf("aarohid: ready in %.3fs", time.Since(began).Seconds())
 	if a := srv.TCPAddr(); a != nil {
 		log.Printf("aarohid: tcp line protocol on %s", a)
 	}

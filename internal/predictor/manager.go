@@ -157,9 +157,10 @@ type batchBuilder struct {
 }
 
 // NewManager builds a concurrent predictor with the given worker count
-// (0 → GOMAXPROCS). Each worker holds an independent Predictor over the same
-// chains and inventory; results (predictions and observed failures) arrive
-// on Results.
+// (0 → GOMAXPROCS). The model is compiled once: every worker's Predictor
+// shares the same read-only scanner and rule set, and owns its parse drivers
+// and counters. Results (predictions and observed failures) arrive on
+// Results.
 func NewManager(chains []core.FailureChain, inventory []core.Template, opts Options, workers int) (*Manager, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -174,12 +175,12 @@ func NewManager(chains []core.FailureChain, inventory []core.Template, opts Opti
 		batchFree:   make(chan *eventBatch, (512+4)*workers),
 		builderFree: make(chan *batchBuilder, 4),
 	}
+	model, err := New(chains, inventory, opts)
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < workers; i++ {
-		p, err := New(chains, inventory, opts)
-		if err != nil {
-			return nil, fmt.Errorf("predictor: manager worker %d: %w", i, err)
-		}
-		w := &managerWorker{in: make(chan managerEvent, 512), pred: p}
+		w := &managerWorker{in: make(chan managerEvent, 512), pred: model.share()}
 		m.workers = append(m.workers, w)
 		m.wg.Add(1)
 		go m.run(w)

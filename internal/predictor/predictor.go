@@ -192,6 +192,17 @@ func New(chains []core.FailureChain, inventory []core.Template, opts Options) (*
 	}, nil
 }
 
+// share returns a predictor over p's compiled model — scanner, rule set,
+// chains, terminal set and fingerprints, all read-only once built — with its
+// own empty drivers and counters. Manager workers each hold one, so a model
+// is compiled once however many workers run it.
+func (p *Predictor) share() *Predictor {
+	q := *p
+	q.drivers = map[string]*parser.Driver{}
+	q.linesScanned, q.tokens, q.discarded = 0, 0, 0
+	return &q
+}
+
 func phraseKey(ps []core.PhraseID) string {
 	b := make([]byte, 0, len(ps)*4)
 	for _, p := range ps {

@@ -276,9 +276,8 @@ func (m *Manager) ImportState(st State) error {
 	// any worker, so a bad snapshot leaves the manager untouched.
 	for i, mw := range m.workers {
 		mw.mu.Lock()
-		fresh := *mw.pred
+		fresh := mw.pred.share()
 		mw.mu.Unlock()
-		fresh.drivers = map[string]*parser.Driver{}
 		if err := fresh.Restore(shards[i]); err != nil {
 			return err
 		}

@@ -212,6 +212,7 @@ type Set struct {
 	patterns []string
 	d        *dfa
 	packed   *packedDFA // non-nil after Pack; used by Match when present
+	single   []lazyDFA  // per-pattern automata for Intersects/Covers
 }
 
 // CompileSet compiles all patterns into one DFA.
@@ -224,7 +225,11 @@ func CompileSet(patterns []string) (*Set, error) {
 		}
 		asts[i] = ast
 	}
-	return &Set{patterns: append([]string(nil), patterns...), d: buildDFA(buildNFA(asts))}, nil
+	return &Set{
+		patterns: append([]string(nil), patterns...),
+		d:        buildDFA(buildNFA(asts)),
+		single:   make([]lazyDFA, len(patterns)),
+	}, nil
 }
 
 // Size returns the number of patterns in the set.

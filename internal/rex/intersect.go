@@ -6,6 +6,11 @@ package rex
 // overlap are resolved by priority online, so the loser may never produce its
 // token; the product DFA yields a concrete witness string for the report.
 
+import (
+	"slices"
+	"sync"
+)
+
 // searchByteOrder ranks bytes for witness construction: printable ASCII
 // first (space last among them, so words form before padding), then the
 // rest, so reported witnesses read like log text whenever possible.
@@ -28,79 +33,88 @@ var searchByteOrder = func() [256]byte {
 	return order
 }()
 
-// patternDFA compiles pattern i of the set alone. The pattern parsed once
-// already in CompileSet, so a parse failure here is impossible.
+// patternDFA returns pattern i of the set compiled alone, building it on
+// first use. The overlap analysis asks about every pair of patterns, so each
+// pattern's automaton is built once per Set rather than once per question;
+// the Once makes the lazy build safe for concurrent Intersects/Covers
+// callers. The pattern parsed once already in CompileSet, so a parse failure
+// here is impossible.
 func (s *Set) patternDFA(i int) *dfa {
-	ast, err := parsePattern(s.patterns[i])
-	if err != nil {
-		panic("rex: pattern re-parse failed: " + err.Error())
-	}
-	return buildDFA(buildNFA([]*node{ast}))
+	p := &s.single[i]
+	p.once.Do(func() {
+		ast, err := parsePattern(s.patterns[i])
+		if err != nil {
+			panic("rex: pattern re-parse failed: " + err.Error())
+		}
+		p.d = buildDFA(buildNFA([]*node{ast}))
+	})
+	return p.d
 }
 
-// productPair is one state of the product automaton. b == sinkState marks
-// the second DFA's implicit dead (error) state, which the product keeps
-// traversable so the complement language stays visible.
-type productPair struct{ a, b int32 }
-
-const sinkState int32 = -1
+// lazyDFA is one pattern's standalone automaton, built by patternDFA.
+type lazyDFA struct {
+	once sync.Once
+	d    *dfa
+}
 
 // productSearch runs a BFS over the product of a and b for the shortest
 // byte string that a accepts and whose membership in b equals wantB
 // (wantB=true: string in L(a) ∩ L(b); wantB=false: string in L(a) \ L(b)).
+//
+// Product states live in flat arrays indexed by pa*cols + pb+1, where cols
+// is len(b.states)+1 and column 0 is b's implicit dead (sink) state, which
+// the product keeps traversable so the complement language stays visible.
+// from holds each reached state's BFS predecessor (-1: not reached yet) and
+// via the byte that led to it. Bytes are tried in searchByteOrder and the
+// queue is FIFO, so the witness is the first shortest string in that order.
 func productSearch(a, b *dfa, wantB bool) ([]byte, bool) {
-	type step struct {
-		from productPair
-		c    byte
-	}
-	accepts := func(p productPair) bool {
-		if a.states[p.a].accept == noMatch {
+	cols := int32(len(b.states)) + 1
+	accepts := func(pa, pb int32) bool {
+		if a.states[pa].accept == noMatch {
 			return false
 		}
-		inB := p.b != sinkState && b.states[p.b].accept != noMatch
+		inB := pb != noMatch && b.states[pb].accept != noMatch
 		return inB == wantB
 	}
-	reconstruct := func(prev map[productPair]step, end productPair) []byte {
-		var rev []byte
-		for end != (productPair{0, 0}) {
-			st := prev[end]
-			rev = append(rev, st.c)
-			end = st.from
-		}
-		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-			rev[i], rev[j] = rev[j], rev[i]
-		}
-		return rev
-	}
 
-	start := productPair{0, 0}
-	if accepts(start) {
+	const start = 1 // the product of both start states: (0, 0)
+	if accepts(0, 0) {
 		return []byte{}, true
 	}
-	prev := map[productPair]step{}
-	seen := map[productPair]bool{start: true}
-	queue := []productPair{start}
+	from := make([]int32, int32(len(a.states))*cols)
+	for i := range from {
+		from[i] = -1
+	}
+	via := make([]byte, len(from))
+	from[start] = start
+	queue := []int32{start}
 	for len(queue) > 0 {
 		p := queue[0]
 		queue = queue[1:]
+		pa, pb := p/cols, p%cols-1
 		for _, c := range searchByteOrder {
-			na := a.states[p.a].next[c]
+			na := a.states[pa].next[c]
 			if na == noMatch {
 				// a's dead state can never reach an accept of a; prune.
 				continue
 			}
-			nb := sinkState
-			if p.b != sinkState {
-				nb = b.states[p.b].next[c]
+			nb := int32(noMatch)
+			if pb != noMatch {
+				nb = b.states[pb].next[c]
 			}
-			np := productPair{na, nb}
-			if seen[np] {
+			np := na*cols + nb + 1
+			if from[np] >= 0 {
 				continue
 			}
-			seen[np] = true
-			prev[np] = step{p, c}
-			if accepts(np) {
-				return reconstruct(prev, np), true
+			from[np] = p
+			via[np] = c
+			if accepts(na, nb) {
+				var rev []byte
+				for ; np != start; np = from[np] {
+					rev = append(rev, via[np])
+				}
+				slices.Reverse(rev)
+				return rev, true
 			}
 			queue = append(queue, np)
 		}

@@ -15,8 +15,8 @@ import (
 
 // BenchmarkServeIngest measures the full steady-state ingest path — queue,
 // WAL framing/append (in the wal variants), sharded scan, parse — in bytes
-// of raw log per second. This is the number ROADMAP item 2 tracks
-// (BENCH_ingest.json); run it via scripts/bench.sh.
+// of raw log per second. Its rows are tracked in BENCH_trajectory.ndjson;
+// run it via scripts/bench.sh.
 func BenchmarkServeIngest(b *testing.B) {
 	log, err := loggen.Generate(loggen.Config{
 		Dialect: loggen.DialectXC30, Seed: 7, Duration: 45 * time.Minute,

@@ -8,7 +8,10 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
+// updateGolden rewrites the golden files under testdata/ instead of
+// comparing against them: `go test ./internal/vet -update`, or
+// UPDATE_GOLDEN=1 as for the serve goldens.
+var updateGolden = flag.Bool("update", os.Getenv("UPDATE_GOLDEN") != "", "rewrite golden files under testdata/")
 
 // goldenReport covers every rendering feature: all three severities, a
 // finding with related elements, and one without.

@@ -202,14 +202,6 @@ fi
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
-# Seed the trajectory from the legacy single-run snapshot so its data point
-# is not lost (one-time: only when the trajectory file does not exist yet).
-if [ ! -f "$OUT" ] && [ -f BENCH_ingest.json ]; then
-    tr '\n' ' ' < BENCH_ingest.json | tr -s ' ' > "$OUT"
-    printf '\n' >> "$OUT"
-    echo "==> seeded $OUT from BENCH_ingest.json"
-fi
-
 bench_suite "$TMP"
 
 awk -v go_version="$(go env GOVERSION)" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
