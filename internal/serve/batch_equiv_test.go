@@ -14,13 +14,15 @@ import (
 	"repro/internal/wal"
 )
 
-// The batched ingest pipeline must be observationally identical to the
-// per-line seed path: same predictions and failures (as a set, and in order
-// per node), byte-identical WAL record sequence, and byte-identical arbiter
-// state. These tests drive full servers — pump, WAL, Manager, arbiter —
-// across four dialect families and batch sizes {1, 7, 256}, with chunked
-// feeding and a positive BatchAge forcing partial mid-batch drains, and
-// compare everything against a BatchMax=1 reference run.
+// The batched ingest pipeline must be observationally independent of how
+// the stream is cut into batches: same predictions and failures (as a set,
+// and in order per node), byte-identical WAL record sequence, and
+// byte-identical arbiter state. These tests drive full servers — pump, WAL,
+// Manager, arbiter — across four dialect families and batch sizes
+// {1, 7, 256}, with chunked feeding and a positive BatchAge forcing partial
+// mid-batch drains, and compare everything against a BatchMax=1 reference
+// run; TestIngestMatchesSequentialOracle pins that reference to a sequential
+// oracle.
 
 // pipeRun captures everything externally observable about one server run.
 type pipeRun struct {
@@ -149,7 +151,7 @@ func diffRuns(t *testing.T, label string, want, got pipeRun) {
 }
 
 // TestBatchPipelineEquivalence: for four dialect families, every batched
-// configuration reproduces the per-line reference run exactly.
+// configuration reproduces the batch-of-one reference run exactly.
 func TestBatchPipelineEquivalence(t *testing.T) {
 	dialects := []*loggen.Dialect{
 		loggen.DialectXC30, loggen.DialectXE6, loggen.DialectBGP, loggen.DialectCassandra,
@@ -176,9 +178,9 @@ func TestBatchPipelineEquivalence(t *testing.T) {
 				batchAge time.Duration
 				chunked  bool
 			}{
-				{1, 0, true},                      // per-line path, chunked feed: determinism self-check
-				{7, 0, false},                     // small batches, continuous feed
-				{256, 0, true},                    // large batches with forced opportunistic mid-batch drains
+				{1, 0, true},                        // batches of one, chunked feed: determinism self-check
+				{7, 0, false},                       // small batches, continuous feed
+				{256, 0, true},                      // large batches with forced opportunistic mid-batch drains
 				{256, 500 * time.Microsecond, true}, // large batches with age-timer mid-batch drains
 			}
 			for _, c := range cases {

@@ -77,17 +77,10 @@ func BenchmarkServeIngest(b *testing.B) {
 	b.Run("wal", func(b *testing.B) {
 		run(b, Config{DataDir: b.TempDir()})
 	})
-	// E8 variants: the per-line seed path against the batched default, and
-	// the batched path under each journal sync policy. "wal" above stays the
-	// tracked trajectory number (batched pump, SyncBatch).
-	b.Run("wal-perline", func(b *testing.B) {
-		run(b, Config{DataDir: b.TempDir(), BatchMax: 1})
-	})
+	// E8 variants: the batched path under each journal sync policy. "wal"
+	// above stays the tracked trajectory number (SyncBatch).
 	b.Run("wal-always", func(b *testing.B) {
 		run(b, Config{DataDir: b.TempDir(), Fsync: wal.SyncAlways})
-	})
-	b.Run("wal-always-perline", func(b *testing.B) {
-		run(b, Config{DataDir: b.TempDir(), Fsync: wal.SyncAlways, BatchMax: 1})
 	})
 	b.Run("wal-off", func(b *testing.B) {
 		run(b, Config{DataDir: b.TempDir(), Fsync: wal.SyncOff})

@@ -83,7 +83,7 @@ type ClusterStatus struct {
 	// ShipTarget is the ring successor currently receiving this daemon's
 	// journals; Ship is per-shard shipping progress (acked == last means the
 	// heir could take over with zero loss right now).
-	ShipTarget string         `json:"ship_target,omitempty"`
+	ShipTarget string          `json:"ship_target,omitempty"`
 	Ship       []ship.ShardLag `json:"ship,omitempty"`
 	// Adopted lists dead peers whose shards this daemon has taken over.
 	Adopted []AdoptedStatus `json:"adopted,omitempty"`
@@ -116,7 +116,7 @@ type cluster struct {
 	s   *Server
 	cfg ClusterConfig
 
-	g       *gossip.Gossip        // nil in static mode
+	g       *gossip.Gossip // nil in static mode
 	fwd     *transport.Forwarder
 	recv    *ship.Receiver // nil without DataDir
 	shipper *ship.Shipper  // nil without DataDir or in static mode
@@ -524,10 +524,6 @@ func newClusterSink(c *cluster, fromForward bool) *clusterSink {
 		remote:      make(map[string][]string),
 		adopted:     make(map[*shard.Local][]string),
 	}
-}
-
-func (k *clusterSink) ProcessLine(line string) {
-	k.ProcessBatch([]string{line})
 }
 
 //aarohi:hotpath

@@ -162,7 +162,7 @@ func TestClusterStaticForwarding(t *testing.T) {
 	// names and shard counts — the placement inputs — while only A needs B's
 	// real address: every line enters through A, so B never forwards.
 	b := newClusterServer(t, Config{TCPAddr: "127.0.0.1:0", Cluster: &ClusterConfig{
-		Name: "b",
+		Name:   "b",
 		Static: []StaticPeer{{Name: "a", Shards: 1}, {Name: "b", Shards: 1}},
 	}})
 	a := newClusterServer(t, Config{TCPAddr: "127.0.0.1:0", Cluster: &ClusterConfig{

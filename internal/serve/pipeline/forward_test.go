@@ -13,7 +13,6 @@ type recordSink struct {
 	batches [][]string
 }
 
-func (s *recordSink) ProcessLine(line string) { s.lines = append(s.lines, line) }
 func (s *recordSink) ProcessBatch(batch []string) {
 	s.batches = append(s.batches, append([]string(nil), batch...))
 	s.lines = append(s.lines, batch...)
@@ -26,8 +25,8 @@ func drainAll(p *Pipeline) {
 	<-p.Done()
 }
 
-// TestForwardedLineRouting: per-line pump sends local lines to the primary
-// sink and forwarded lines to the forward sink.
+// TestForwardedLineRouting: a pump of batches of one sends local lines to the
+// primary sink and forwarded lines to the forward sink.
 func TestForwardedLineRouting(t *testing.T) {
 	local, fwd := &recordSink{tag: "local"}, &recordSink{tag: "fwd"}
 	p := New(Config{QueueSize: 64, BatchMax: 1, Forward: fwd}, local)

@@ -27,12 +27,10 @@ const (
 	Shed Policy = "shed"
 )
 
-// Sink consumes drained lines. Both calls run on the pump goroutine and must
-// fully process their input before returning — "pump exited" means every
+// Sink consumes drained lines. ProcessBatch runs on the pump goroutine and
+// must fully process its input before returning — "pump exited" means every
 // accepted line reached the Sink.
 type Sink interface {
-	// ProcessLine handles one line (the BatchMax == 1 per-line path).
-	ProcessLine(line string)
 	// ProcessBatch handles one pump batch. The slice is reused for the next
 	// batch after the call returns; implementations must not retain it.
 	ProcessBatch(batch []string)
@@ -56,7 +54,7 @@ type Config struct {
 	// Overflow is the queue-full policy.
 	Overflow Policy
 	// BatchMax caps how many queued lines the pump coalesces into one Sink
-	// batch. 1 selects the per-line path.
+	// batch. 1 hands the Sink batches of one line.
 	BatchMax int
 	// BatchMaxBytes caps the byte size of one pump batch.
 	BatchMaxBytes int
@@ -231,45 +229,21 @@ func (p *Pipeline) Forwarded() int64 { return p.forwarded.Load() }
 
 // pump is the single consumer of the ingest queue: every accepted line flows
 // through it into the Sink, so "queue drained + pump exited" means every
-// accepted line reached the Sink. BatchMax > 1 selects the batched pump:
-// lines are cut into groups bounded by count/bytes/age and each group is one
-// Sink call.
+// accepted line reached the Sink. It blocks for the first line, then collects
+// until BatchMax lines, BatchMaxBytes bytes, BatchAge of waiting, or an empty
+// queue (BatchAge 0), and hands the group to the Sink. Collection happens
+// outside any sink-side lock, so snapshots and hot-swaps interleave at batch
+// boundaries.
 func (p *Pipeline) pump() {
 	defer close(p.done)
-	if p.cfg.BatchMax > 1 {
-		p.pumpBatches()
-	} else {
-		p.pumpLines()
-	}
+	p.pumpBatches()
 	if p.cfg.OnDrained != nil {
 		p.cfg.OnDrained()
 	}
 }
 
-// pumpLines is the per-line pump (BatchMax == 1): the original ingest loop,
-// kept both as the reference semantics the batched path must reproduce
-// exactly (see TestBatchPipelineEquivalence) and as the minimum-latency
-// configuration.
-//
-//aarohi:hotpath
-func (p *Pipeline) pumpLines() {
-	for it := range p.queue {
-		if p.TestHookDelay != nil {
-			p.TestHookDelay()
-		}
-		if it.fwd {
-			p.fwdSink.ProcessLine(it.line)
-		} else {
-			p.sink.ProcessLine(it.line)
-		}
-	}
-}
-
-// pumpBatches is the batched pump: block for the first line, then collect
-// until BatchMax lines, BatchMaxBytes bytes, BatchAge of waiting, or an empty
-// queue (BatchAge 0), and hand the group to the Sink. Collection happens
-// outside any sink-side lock, so snapshots and hot-swaps interleave at batch
-// boundaries exactly as they did at line boundaries.
+// pumpBatches is pump's collection loop; it returns once the queue is closed
+// and its last batch has reached the Sink.
 //
 //aarohi:hotpath
 func (p *Pipeline) pumpBatches() {
@@ -296,9 +270,9 @@ func (p *Pipeline) pumpBatches() {
 				return
 			}
 		}
-		// The test hook sits where the per-line pump had it — after the first
-		// dequeue, before any further draining — so queue-overflow tests can
-		// still hold the pump with a known queue state.
+		// The test hook runs after the first dequeue, before any further
+		// draining, so queue-overflow tests can hold the pump with a known
+		// queue state.
 		if p.TestHookDelay != nil {
 			p.TestHookDelay()
 		}

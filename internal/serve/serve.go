@@ -92,9 +92,8 @@ type Config struct {
 	// lagging behind it loses messages (default 256).
 	SubscriberBuffer int
 	// BatchMax caps how many queued lines the pump coalesces into one WAL
-	// group-append and one Manager batch submit (default 256). 1 selects the
-	// per-line path: each line is journaled and dispatched individually, the
-	// pre-batching behavior.
+	// group-append and one Manager batch submit (default 256). 1 makes every
+	// batch a single line: each line is journaled and dispatched on its own.
 	BatchMax int
 	// BatchMaxBytes caps the byte size of one pump batch (default 256 KiB),
 	// bounding WAL write size and worker latency under huge lines.
@@ -102,10 +101,10 @@ type Config struct {
 	// BatchAge caps how long the pump waits for a partial batch to fill
 	// before dispatching it. The default (0) never waits: the pump drains
 	// whatever is queued and dispatches immediately, so batches grow with
-	// load — full amortization under pressure, per-line latency when idle —
-	// and a snapshot or Flush issued while the stream is quiet observes
-	// every line, exactly as the per-line pump did. A positive age trades
-	// that latency for larger groups (useful with Fsync always).
+	// load — full amortization under pressure, single-line batches when
+	// idle — and a snapshot or Flush issued while the stream is quiet
+	// observes every accepted line. A positive age trades idle latency for
+	// larger groups (useful with Fsync always).
 	BatchAge time.Duration
 	// DrainGrace is how long Shutdown lets open TCP connections finish
 	// sending before force-closing them (default 1s).

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -99,8 +98,7 @@ func (h *HTTP) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer h.ing.EndProduce()
 
 	var res IngestResult
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), h.cfg.MaxLineLen)
+	sc := newLineScanner(r.Body, h.cfg.MaxLineLen)
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" {

@@ -187,8 +187,7 @@ func (t *TCP) handleConn(c net.Conn) {
 		src = br
 	}
 
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 64<<10), t.cfg.MaxLineLen)
+	sc := newLineScanner(src, t.cfg.MaxLineLen)
 	for {
 		// Per-read idle deadline — but never extend past a drain deadline
 		// already set by Shutdown.

@@ -7,6 +7,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -37,6 +38,16 @@ type Config struct {
 	MaxLineLen int
 	// Logf receives diagnostics.
 	Logf func(format string, args ...any)
+}
+
+// newLineScanner frames newline-terminated lines off r, accepting lines of up
+// to maxLineLen bytes. A bufio.Scanner token may grow to the larger of the
+// buffer's capacity and the scanner's max, and the buffer must also hold the
+// line's newline, so both bounds derive from maxLineLen+1.
+func newLineScanner(r io.Reader, maxLineLen int) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, min(64<<10, maxLineLen+1)), maxLineLen+1)
+	return sc
 }
 
 // IngestResult is the POST /ingest response body.

@@ -110,7 +110,7 @@ var ErrClosed = errors.New("wal: log closed")
 
 // errRecordTooLarge and wrapErr keep fmt out of the Append hot path: the
 // compiler won't inline functions that call fmt.Errorf, and the call sites
-// themselves sit on the per-line ingest path.
+// themselves sit on the ingest path.
 func errRecordTooLarge(n int) error {
 	return fmt.Errorf("wal: record of %d bytes exceeds limit", n)
 }
@@ -417,9 +417,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 // last-len(payloads)+1); an empty batch is a no-op returning the current
 // last index.
 //
-// This is the amortization ROADMAP item 2 calls for: the per-line ingest
-// path pays one l.mu acquisition, one kernel write and (fsync always) one
-// disk flush per record; the batched path pays each once per group.
+// Appending the records one by one would pay one l.mu acquisition, one
+// kernel write and (fsync always) one disk flush per record; AppendBatch
+// pays each once per group.
 //
 //aarohi:hotpath
 func (l *Log) AppendBatch(payloads [][]byte) (last uint64, err error) {

@@ -40,12 +40,12 @@ else
 fi
 
 # The gate skips the fsync-always ingest variants: their numbers are
-# device-dominated (one fsync per batch or per line), so at the gate's short
+# device-dominated (one fsync per batch), so at the gate's short
 # budget run-to-run spread swamps any code regression. They stay in the
 # trajectory file for the record; the CPU-bound variants gate the code.
 SERVE_PAT='^BenchmarkServeIngest$'
 if [ "$MODE" = check ]; then
-    SERVE_PAT='^BenchmarkServeIngest$/^(nowal|wal|wal-perline|wal-off|shards1|shards4|fwd)$'
+    SERVE_PAT='^BenchmarkServeIngest$/^(nowal|wal|wal-off|shards1|shards4|fwd)$'
 fi
 
 # bench_suite RAWFILE — run every trajectory benchmark, appending the raw

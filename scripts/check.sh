@@ -19,6 +19,14 @@ go build ./...
 echo "==> go build ./cmd/aarohid (serving daemon)"
 go build -o /dev/null ./cmd/aarohid
 
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt needed on:"
+    echo "$unformatted"
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
